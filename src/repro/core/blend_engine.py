@@ -620,10 +620,10 @@ class BlendEngine:
         copied into the padded slots once — setup, outside the timed spans;
         a persistent engine would have prefilled into the pad directly), and
         generation runs Orca-style lock-step: **one session step per
-        scheduler iteration**, replacing the former N independent
-        ``generate`` calls.  Steady-state steps write only each member's
-        appended row; requests leave the session — freeing their slot — the
-        moment they finish, so peak resident KV tracks the live batch.
+        scheduler iteration** for the whole batch.  Steady-state steps write
+        only each member's appended row; requests leave the session —
+        freeing their slot — the moment they finish, so peak resident KV
+        tracks the live batch.
 
         The first step is timed exactly (the per-iteration unit the
         continuous-batching scheduler paces decode with) and every executed
@@ -694,7 +694,8 @@ class BlendEngine:
         decode (``generated``, the shared ``measured_first_decode_s`` and
         the ``decode_batch_width``); the first decode step is folded into
         the measured TTFT here.  Analytic callers generate per request
-        through the legacy (unbatched) path.
+        through a width-1 session whose steps are not timed, so they never
+        feed the cost model's calibration.
         """
         ttft_estimate = self._estimate_ttft(
             inputs.context_tokens,
@@ -708,12 +709,14 @@ class BlendEngine:
             if measured_ttft is not None and measured_first_decode_s is not None:
                 measured_ttft += measured_first_decode_s
         elif max_new_tokens > 0:
-            generated = self.model.generate(
-                fusion.kv_cache,
-                fusion.last_logits,
+            session = self.model.new_decode_session(slot_capacity=1)
+            session.join(0, fusion.kv_cache, reserve=max_new_tokens)
+            generated = self.model.generate_session(
+                session,
+                [fusion.last_logits],
                 max_new_tokens=max_new_tokens,
                 eos_id=self.tokenizer.eos_id,
-            )
+            )[0]
         return BlendResult(
             fusion=fusion,
             ttft=measured_ttft if measured_ttft is not None else ttft_estimate,

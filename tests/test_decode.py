@@ -1,18 +1,18 @@
-"""Batched decode on preallocated KV buffers.
+"""Decode correctness on the session path, anchored on full-prefill ground truth.
 
-Locks down the decode-path refactor: :class:`GrowableKVCache` round-trips
-bitwise to the legacy :class:`KVCache`, grows geometrically instead of
-re-concatenating per token, tracks the next decode position on the cache
-(regression for the former per-token ``positions.max()`` scan), and
-``decode_batch`` over N requests matches N sequential ``decode_step`` loops
-token-for-token.
+A decode step appends one token to a cached prompt, so its logits must equal
+those of a from-scratch :meth:`~repro.model.transformer.TransformerModel.
+full_prefill` over the prompt plus every token decoded so far.  That holds
+for any width-1 :class:`~repro.model.tensors.DecodeSession`; the remaining
+tests lock down position anchoring, attention over the whole cache, error
+atomicity and the greedy generation loop (EOS, token budget, drop-out).
 """
 
 import numpy as np
 import pytest
 
 from repro.model.config import get_config
-from repro.model.tensors import GrowableKVCache, KVCache, LayerKV
+from repro.model.tensors import DecodeSession, KVCache, LayerKV
 from repro.model.transformer import TransformerModel
 
 
@@ -33,75 +33,50 @@ def _prefill_caches(model: TransformerModel, lengths, seed: int = 0):
     ]
 
 
-def _caches_equal(a: GrowableKVCache, b: GrowableKVCache, atol: float) -> None:
-    assert a.n_tokens == b.n_tokens
-    np.testing.assert_array_equal(a.token_ids, b.token_ids)
-    np.testing.assert_array_equal(a.positions, b.positions)
-    for layer_idx in range(a.n_layers):
-        np.testing.assert_allclose(
-            a.layer_keys(layer_idx), b.layer_keys(layer_idx), atol=atol, rtol=0
+def _solo_session(model: TransformerModel, cache: KVCache, reserve: int = 0):
+    session = model.new_decode_session(slot_capacity=1)
+    session.join(0, cache, reserve=reserve)
+    return session
+
+
+class TestGroundTruth:
+    """Width-1 session steps vs full prefill of the prompt + decoded tokens."""
+
+    N_STEPS = 6
+
+    @pytest.mark.parametrize("preset", ["tiny", "small"])
+    @pytest.mark.parametrize("prompt_len", [5, 17, 40])
+    def test_each_step_matches_full_prefill(self, preset, prompt_len):
+        model = TransformerModel(get_config(preset), seed=0)
+        prompt = _random_prompt(model, prompt_len, seed=prompt_len)
+        stream = _random_prompt(model, self.N_STEPS, seed=100 + prompt_len)
+        session = _solo_session(
+            model, model.full_prefill(prompt).kv_cache, reserve=self.N_STEPS
         )
-        np.testing.assert_allclose(
-            a.layer_values(layer_idx), b.layer_values(layer_idx), atol=atol, rtol=0
-        )
+        for step in range(self.N_STEPS):
+            logits = model.decode_session_step(session, stream[step : step + 1])[0]
+            expected = model.full_prefill(
+                np.concatenate([prompt, stream[: step + 1]])
+            ).last_logits
+            np.testing.assert_allclose(logits, expected, rtol=0, atol=1e-4)
+            assert int(np.argmax(logits)) == int(np.argmax(expected))
 
 
-class TestGrowableKVCache:
-    def test_round_trip_to_legacy_kv_cache_is_bitwise(self, model):
-        cache = _prefill_caches(model, [17])[0].kv_cache
-        round_tripped = GrowableKVCache.from_kv_cache(cache, reserve=5).to_kv_cache()
-        for original, back in zip(cache.layers, round_tripped.layers):
-            np.testing.assert_array_equal(original.keys, back.keys)
-            np.testing.assert_array_equal(original.values, back.values)
-        np.testing.assert_array_equal(cache.token_ids, round_tripped.token_ids)
-        np.testing.assert_array_equal(cache.positions, round_tripped.positions)
-
-    def test_view_aliases_the_buffers(self, model):
-        grown = GrowableKVCache.from_kv_cache(
-            _prefill_caches(model, [6])[0].kv_cache
-        )
-        view = grown.view()
-        grown._keys[0][2, 0, 0] = 123.0
-        assert view.layers[0].keys[2, 0, 0] == 123.0
-
-    def test_append_writes_rows_in_place(self):
-        grown = GrowableKVCache(n_layers=2, n_kv_heads=1, head_dim=4, capacity=8)
-        keys = np.arange(2 * 1 * 4, dtype=np.float32).reshape(2, 1, 4)
-        row = grown.append(keys, keys * 2.0, token_id=9)
-        assert row == 0
-        assert grown.n_tokens == 1
-        assert grown.next_position == 1
-        np.testing.assert_array_equal(grown.layer_keys(1)[0], keys[1])
-        np.testing.assert_array_equal(grown.layer_values(0)[0], keys[0] * 2.0)
-        assert grown.token_ids[0] == 9
-        assert grown.positions[0] == 0
-
-    def test_growth_is_geometric_not_per_token(self):
-        grown = GrowableKVCache(n_layers=1, n_kv_heads=1, head_dim=2, capacity=4)
-        kv = np.zeros((1, 1, 2), dtype=np.float32)
-        capacities = set()
-        for token in range(200):
-            grown.append(kv, kv, token_id=token)
-            capacities.add(grown.capacity)
-        # Doubling from 4 to >=200 passes through at most ~log2 capacities.
-        assert grown.n_tokens == 200
-        assert len(capacities) <= 7
-        assert grown.capacity >= 200
-
-    def test_reserve_prevents_mid_generation_reallocation(self):
-        grown = GrowableKVCache(n_layers=1, n_kv_heads=1, head_dim=2, capacity=1)
-        grown.reserve(64)
-        buffer_before = grown._keys[0]
-        kv = np.zeros((1, 1, 2), dtype=np.float32)
-        for token in range(64):
-            grown.append(kv, kv, token_id=token)
-        assert grown._keys[0] is buffer_before
+class TestDecodeStep:
+    def test_appends_at_tracked_position(self, model):
+        prefill = _prefill_caches(model, [9])[0]
+        session = _solo_session(model, prefill.kv_cache, reserve=1)
+        logits = model.decode_session_step(session, [42])
+        assert logits.shape == (1, model.config.vocab_size)
+        cache = session.extract(0)
+        assert cache.n_tokens == 10
+        assert cache.positions[-1] == 9
+        assert cache.token_ids[-1] == 42
 
     def test_next_position_follows_last_token_not_max(self):
-        """Regression: with non-contiguous (unsorted) chunk positions the
-        next decode position follows the *last* token, not the numerically
-        largest position (the legacy ``positions.max()`` scan got this
-        wrong, besides being O(T) per token)."""
+        """With non-contiguous (unsorted) chunk positions the next decode
+        position follows the *last* token, not the numerically largest
+        position (a ``positions.max()`` anchor would say 8)."""
         layer = LayerKV(
             np.zeros((5, 1, 2), dtype=np.float32), np.zeros((5, 1, 2), dtype=np.float32)
         )
@@ -110,192 +85,105 @@ class TestGrowableKVCache:
             token_ids=np.arange(5),
             positions=np.array([5, 6, 7, 2, 3], dtype=np.int64),
         )
-        grown = GrowableKVCache.from_kv_cache(cache)
-        assert grown.next_position == 4  # positions.max() + 1 would say 8
-
-    def test_rejects_empty_cache_and_bad_append(self):
-        with pytest.raises(ValueError):
-            GrowableKVCache.from_kv_cache(KVCache([]))
-        grown = GrowableKVCache(n_layers=2, n_kv_heads=1, head_dim=2)
-        with pytest.raises(ValueError):
-            grown.append(
-                np.zeros((1, 1, 2), dtype=np.float32),
-                np.zeros((1, 1, 2), dtype=np.float32),
-                token_id=0,
-            )
-
-
-class TestDecodeStep:
-    def test_appends_at_tracked_position(self, model):
-        prefill = _prefill_caches(model, [9])[0]
-        logits, cache = model.decode_step(prefill.kv_cache, 42)
-        assert isinstance(cache, GrowableKVCache)
-        assert logits.shape == (model.config.vocab_size,)
-        assert cache.n_tokens == 10
-        assert cache.positions[-1] == 9
-        assert cache.next_position == 10
-        assert cache.token_ids[-1] == 42
+        session = DecodeSession(n_layers=1, n_kv_heads=1, head_dim=2)
+        session.join(0, cache, reserve=1)
+        np.testing.assert_array_equal(session.claim_rows(np.array([9])), [4])
 
     def test_position_regression_non_contiguous_chunk_positions(self, model):
         """The appended token continues after the last chunk token even when
         an earlier chunk was embedded at larger absolute positions."""
-        cfg = model.config
         chunk_a = model.chunk_prefill(_random_prompt(model, 4, 1), start_position=10)
         chunk_b = model.chunk_prefill(_random_prompt(model, 3, 2), start_position=0)
         combined = KVCache.concat([chunk_a, chunk_b])
-        assert combined.positions.max() == 13  # the legacy scan's anchor
-        _, cache = model.decode_step(combined, 7)
+        assert combined.positions.max() == 13  # a max-position anchor
+        session = _solo_session(model, combined, reserve=1)
+        model.decode_session_step(session, [7])
+        cache = session.extract(0)
         assert cache.positions[-1] == 3  # follows chunk_b's last token (2) + 1
-        assert cfg.n_layers == cache.n_layers
+        assert cache.n_layers == model.config.n_layers
 
     def test_decode_attends_to_context_beyond_the_query_position(self, model):
-        """Regression: cached tokens embedded at positions *larger* than the
-        decode token's must still be attended — causality during decode is
-        cache membership, not position order.  A positional mask would make
-        the high-position chunk invisible, collapsing the logits onto those
-        of a cache holding only the low-position chunk."""
+        """Cached tokens embedded at positions *larger* than the decode
+        token's must still be attended — causality during decode is cache
+        membership, not position order.  A positional mask would make the
+        high-position chunk invisible, collapsing the logits onto those of a
+        cache holding only the low-position chunk."""
         chunk_high = model.chunk_prefill(_random_prompt(model, 4, 1), start_position=10)
         chunk_low = model.chunk_prefill(_random_prompt(model, 3, 2), start_position=0)
         combined = KVCache.concat([chunk_high, chunk_low])
-        with_context, _ = model.decode_step(combined, 7)
-        without_context, _ = model.decode_step(combined.slice_tokens(4, 7), 7)
+        with_context = model.decode_session_step(_solo_session(model, combined), [7])
+        without_context = model.decode_session_step(
+            _solo_session(model, combined.slice_tokens(4, 7)), [7]
+        )
         assert not np.allclose(with_context, without_context)
 
-    def test_steps_on_growable_cache_are_in_place(self, model):
-        prefill = _prefill_caches(model, [8])[0]
-        cache = GrowableKVCache.from_kv_cache(prefill.kv_cache, reserve=4)
-        buffer_before = cache._keys[0]
-        for token in (5, 6, 7, 8):
-            _, cache = model.decode_step(cache, token)
-        assert cache._keys[0] is buffer_before  # no reallocation, no concat
-        assert cache.n_tokens == 12
-
-
-class TestDecodeBatchEquivalence:
-    """decode_batch over N requests vs N sequential decode_step loops."""
-
-    LENGTHS = (12, 7, 19, 9)
-    N_STEPS = 8
-
-    @pytest.fixture(scope="class")
-    def streams(self, model):
-        rng = np.random.default_rng(3)
-        return rng.integers(
-            4, model.config.vocab_size, size=(len(self.LENGTHS), self.N_STEPS)
-        ).astype(np.int64)
-
-    def test_stepwise_logits_and_caches_match(self, model, streams):
-        prefills = _prefill_caches(model, self.LENGTHS)
-        sequential = [
-            GrowableKVCache.from_kv_cache(p.kv_cache, reserve=self.N_STEPS)
-            for p in prefills
-        ]
-        batched = [
-            GrowableKVCache.from_kv_cache(p.kv_cache, reserve=self.N_STEPS)
-            for p in prefills
-        ]
-        for step in range(self.N_STEPS):
-            batch_logits = model.decode_batch(batched, streams[:, step])
-            for i, cache in enumerate(sequential):
-                logits, _ = model.decode_step(cache, int(streams[i, step]))
-                assert int(np.argmax(logits)) == int(np.argmax(batch_logits[i]))
-                np.testing.assert_allclose(
-                    logits, batch_logits[i], rtol=1e-4, atol=1e-5
-                )
-        for seq, bat in zip(sequential, batched):
-            _caches_equal(seq, bat, atol=1e-4)
-
-    def test_greedy_generation_token_for_token(self, model):
-        prefills = _prefill_caches(model, self.LENGTHS, seed=11)
-        sequential = [
-            model.generate(
-                GrowableKVCache.from_kv_cache(p.kv_cache, reserve=24),
-                p.last_logits,
-                max_new_tokens=24,
-            )
-            for p in prefills
-        ]
-        batched = model.generate_batch(
-            [GrowableKVCache.from_kv_cache(p.kv_cache, reserve=24) for p in prefills],
-            [p.last_logits for p in prefills],
-            max_new_tokens=24,
-        )
-        assert batched == sequential
-        assert all(len(tokens) == 24 for tokens in batched)
-
-    def test_batch_of_one_is_exactly_decode_step(self, model):
-        prefill = _prefill_caches(model, [10])[0]
-        a = GrowableKVCache.from_kv_cache(prefill.kv_cache, reserve=1)
-        b = GrowableKVCache.from_kv_cache(prefill.kv_cache, reserve=1)
-        logits_step, _ = model.decode_step(a, 33)
-        logits_batch = model.decode_batch([b], [33])
-        np.testing.assert_array_equal(logits_step, logits_batch[0])
-        _caches_equal(a, b, atol=0.0)
-
-    def test_input_validation(self, model):
+    def test_invalid_token_id_leaves_state_untouched(self, model):
+        """Token validation runs before any row is claimed, so a caught and
+        retried error leaves no phantom all-zero rows behind."""
         prefill = _prefill_caches(model, [5])[0]
-        grown = GrowableKVCache.from_kv_cache(prefill.kv_cache)
+        session = _solo_session(model, prefill.kv_cache, reserve=2)
         with pytest.raises(ValueError):
-            model.decode_batch([grown], [1, 2])
-        with pytest.raises(ValueError):
-            model.decode_batch([], [])
-        with pytest.raises(TypeError):
-            model.decode_batch([prefill.kv_cache], [1])
-
-    def test_invalid_token_id_leaves_caches_untouched(self, model):
-        """Regression: token validation must run before any cache append, or
-        a caught-and-retried error leaves phantom all-zero rows behind."""
-        prefill = _prefill_caches(model, [5])[0]
-        grown = GrowableKVCache.from_kv_cache(prefill.kv_cache, reserve=2)
-        with pytest.raises(ValueError):
-            model.decode_batch([grown], [model.config.vocab_size])
-        assert grown.n_tokens == 5
-        assert grown.next_position == 5
-        logits = model.decode_batch([grown], [7])  # retry decodes cleanly
-        assert logits.shape == (1, model.config.vocab_size)
-        assert grown.n_tokens == 6
+            model.decode_session_step(session, [model.config.vocab_size])
+        assert session.length_of(0) == 5
+        assert session.stats.steps == 0
+        logits = model.decode_session_step(session, [7])  # retry decodes cleanly
+        expected = model.full_prefill(
+            np.concatenate([prefill.kv_cache.token_ids, [7]])
+        ).last_logits
+        np.testing.assert_allclose(logits[0], expected, rtol=0, atol=1e-4)
+        np.testing.assert_array_equal(session.extract(0).positions, np.arange(6))
 
 
 class TestGenerateEos:
     def test_eos_is_not_emitted(self, model):
         prefill = _prefill_caches(model, [6])[0]
         eos_id = int(np.argmax(prefill.last_logits))  # force EOS immediately
-        generated = model.generate(
-            prefill.kv_cache, prefill.last_logits, max_new_tokens=4, eos_id=eos_id
+        session = _solo_session(model, prefill.kv_cache, reserve=4)
+        generated = model.generate_session(
+            session, [prefill.last_logits], max_new_tokens=4, eos_id=eos_id
         )
-        assert generated == []
-
-    def test_include_eos_restores_the_marker(self, model):
-        prefill = _prefill_caches(model, [6])[0]
-        eos_id = int(np.argmax(prefill.last_logits))
-        generated = model.generate(
-            prefill.kv_cache,
-            prefill.last_logits,
-            max_new_tokens=4,
-            eos_id=eos_id,
-            include_eos=True,
-        )
-        assert generated == [eos_id]
+        assert generated == [[]]
+        assert session.n_members == 0
 
     def test_token_count_matches_budget_without_eos(self, model):
         prefill = _prefill_caches(model, [6])[0]
-        generated = model.generate(
-            prefill.kv_cache, prefill.last_logits, max_new_tokens=5, eos_id=None
+        session = _solo_session(model, prefill.kv_cache, reserve=5)
+        generated = model.generate_session(
+            session, [prefill.last_logits], max_new_tokens=5, eos_id=None
         )
-        assert len(generated) == 5
+        assert len(generated[0]) == 5
+        # The last sampled token is returned but never decoded.
+        assert session.stats.steps == 4
+
+    def test_greedy_tokens_match_full_prefill_argmax(self, model):
+        prefill = _prefill_caches(model, [7], seed=3)[0]
+        session = _solo_session(model, prefill.kv_cache, reserve=5)
+        generated = model.generate_session(session, [prefill.last_logits], 5)[0]
+        sequence = prefill.kv_cache.token_ids
+        for token in generated:
+            assert token == int(np.argmax(model.full_prefill(sequence).last_logits))
+            sequence = np.concatenate([sequence, [token]])
 
     def test_finished_requests_drop_out_of_the_batch(self, model):
         prefills = _prefill_caches(model, [6, 8], seed=21)
         eos_id = int(np.argmax(prefills[0].last_logits))
-        batched = model.generate_batch(
-            [p.kv_cache for p in prefills],
+        session = model.new_decode_session()
+        for i, p in enumerate(prefills):
+            session.join(i, p.kv_cache, reserve=6)
+        widths = []
+        batched = model.generate_session(
+            session,
             [p.last_logits for p in prefills],
             max_new_tokens=6,
             eos_id=eos_id,
+            on_step=lambda seconds, width: widths.append(width),
         )
         assert batched[0] == []  # hit EOS on its first token
-        expected = model.generate(
-            prefills[1].kv_cache, prefills[1].last_logits, max_new_tokens=6,
+        assert widths and all(width == 1 for width in widths)
+        expected = model.generate_session(
+            _solo_session(model, prefills[1].kv_cache, reserve=6),
+            [prefills[1].last_logits],
+            max_new_tokens=6,
             eos_id=eos_id,
-        )
+        )[0]
         assert batched[1] == expected
