@@ -40,6 +40,21 @@ class TestBlendEngineRun:
         result = engine.run(CHUNKS[:1], "what is stored?", max_new_tokens=3)
         assert 1 <= len(result.generated_ids) <= 3
 
+    def test_analytic_generation_does_not_feed_decode_calibration(self):
+        """Analytic requests decode through an untimed width-1 session, so
+        the cost model's decode calibration (fed only by measured pipelined
+        steps) and hence later TTFT estimates stay where they were."""
+        engine = BlendEngine.build(paper_model="Mistral-7B", device="nvme_ssd", seed=0)
+        engine.precompute_chunks(CHUNKS[:2])
+        calibration = engine.controller.cost_model.calibration
+        before = calibration.as_dict()
+        first = engine.run(CHUNKS[:2], "what is stored?", max_new_tokens=4)
+        assert 1 <= len(first.generated_ids) <= 4
+        assert calibration.as_dict() == before
+        again = engine.run(CHUNKS[:2], "what is stored?", max_new_tokens=4)
+        assert again.generated_ids == first.generated_ids
+        assert again.ttft_estimate == first.ttft_estimate
+
     def test_run_batch_shares_the_store(self, engine):
         engine.kv_store.clear()
         engine.reset_cache_stats()

@@ -4,7 +4,8 @@ A decode step appends one token to a cached prompt, so its logits must equal
 those of a from-scratch :meth:`~repro.model.transformer.TransformerModel.
 full_prefill` over the prompt plus every token decoded so far.  That holds
 for any width-1 :class:`~repro.model.tensors.DecodeSession`; the remaining
-tests lock down position anchoring, attention over the whole cache, error
+tests lock down the session pad (in-place row writes, zero-copy layer views,
+geometric growth), position anchoring, attention over the whole cache, error
 atomicity and the greedy generation loop (EOS, token budget, drop-out).
 """
 
@@ -62,6 +63,92 @@ class TestGroundTruth:
             assert int(np.argmax(logits)) == int(np.argmax(expected))
 
 
+def _append(session: DecodeSession, token_ids, keys, values) -> np.ndarray:
+    """One raw pad step: claim a row per member, then write every layer."""
+    positions = session.claim_rows(np.asarray(token_ids, dtype=np.int64))
+    for layer_idx in range(session.n_layers):
+        session.write_layer(layer_idx, keys[layer_idx], values[layer_idx])
+    return positions
+
+
+class TestSessionPad:
+    """The persistent pad a decode step appends to, driven directly."""
+
+    def test_claim_rows_and_write_layer_write_rows_in_place(self):
+        session = DecodeSession(n_layers=2, n_kv_heads=1, head_dim=4, token_capacity=8)
+        seed = KVCache(
+            [LayerKV(np.ones((3, 1, 4), np.float32), np.ones((3, 1, 4), np.float32))
+             for _ in range(2)],
+            token_ids=np.array([1, 2, 3]),
+        )
+        session.join(0, seed)
+        keys = np.arange(2 * 1 * 1 * 4, dtype=np.float32).reshape(2, 1, 1, 4)
+        positions = _append(session, [9], keys, keys * 2.0)
+        np.testing.assert_array_equal(positions, [3])
+        assert session.length_of(0) == 4
+        cache = session.extract(0)
+        np.testing.assert_array_equal(cache.layers[1].keys[3], keys[1, 0])
+        np.testing.assert_array_equal(cache.layers[0].values[3], keys[0, 0] * 2.0)
+        np.testing.assert_array_equal(cache.layers[0].keys[:3], seed.layers[0].keys)
+        np.testing.assert_array_equal(cache.token_ids, [1, 2, 3, 9])
+        np.testing.assert_array_equal(cache.positions, [0, 1, 2, 3])
+
+    def test_layer_kv_aliases_the_pad(self, model):
+        session = _solo_session(model, _prefill_caches(model, [6])[0].kv_cache)
+        keys, values = session.layer_kv(0)
+        assert keys.shape[:2] == values.shape[:2] == (1, 6)
+        session._keys[0][0, 2, 0, 0] = 123.0
+        assert keys[0, 2, 0, 0] == 123.0  # a view, not a gathered copy
+
+    def test_token_growth_is_geometric_not_per_token(self):
+        session = DecodeSession(n_layers=1, n_kv_heads=1, head_dim=2, token_capacity=4)
+        session.join(0, KVCache([LayerKV(np.zeros((1, 1, 2)), np.zeros((1, 1, 2)))]))
+        kv = np.zeros((1, 1, 1, 2), dtype=np.float32)
+        capacities = set()
+        for token in range(200):
+            _append(session, [token], kv, kv)
+            capacities.add(session.token_capacity)
+        # Doubling from 4 to >=201 passes through at most ~log2 capacities.
+        assert session.length_of(0) == 201
+        assert len(capacities) <= 7
+        assert session.token_capacity >= 201
+        assert session.stats.grows == len(capacities) - 1
+
+    def test_reserve_prevents_mid_generation_reallocation(self):
+        session = DecodeSession(n_layers=1, n_kv_heads=1, head_dim=2, token_capacity=1)
+        session.join(0, KVCache([LayerKV(np.zeros((1, 1, 2)), np.zeros((1, 1, 2)))]),
+                     reserve=64)
+        buffer_before = session._keys[0]
+        kv = np.zeros((1, 1, 1, 2), dtype=np.float32)
+        for token in range(64):
+            _append(session, [token], kv, kv)
+        assert session._keys[0] is buffer_before
+        assert session.length_of(0) == 65
+
+    def test_rejects_empty_cache_and_bad_layer_count(self, model):
+        session = DecodeSession(n_layers=2, n_kv_heads=1, head_dim=2)
+        with pytest.raises(ValueError):
+            session.join(0, KVCache([]))
+        one_layer = KVCache([LayerKV(np.zeros((3, 1, 2)), np.zeros((3, 1, 2)))])
+        with pytest.raises(ValueError):
+            session.join(0, one_layer)
+        assert session.n_members == 0
+        with pytest.raises(ValueError):
+            session.claim_rows(np.array([1]))  # no members to append to
+        # A session shaped for another model is refused before any row moves.
+        foreign = DecodeSession(
+            model.config.n_layers + 1, model.config.n_kv_heads, model.config.head_dim
+        )
+        foreign.join(0, KVCache(
+            [LayerKV(np.zeros((2, model.config.n_kv_heads, model.config.head_dim)),
+                     np.zeros((2, model.config.n_kv_heads, model.config.head_dim)))
+             for _ in range(model.config.n_layers + 1)]
+        ))
+        with pytest.raises(ValueError):
+            model.decode_session_step(foreign, [5])
+        assert foreign.length_of(0) == 2
+
+
 class TestDecodeStep:
     def test_appends_at_tracked_position(self, model):
         prefill = _prefill_caches(model, [9])[0]
@@ -117,6 +204,32 @@ class TestDecodeStep:
         )
         assert not np.allclose(with_context, without_context)
 
+    def test_steps_on_a_reserved_session_are_in_place(self, model):
+        prefill = _prefill_caches(model, [8])[0]
+        session = _solo_session(model, prefill.kv_cache, reserve=4)
+        buffer_before = session._keys[0]
+        for token in (5, 6, 7, 8):
+            model.decode_session_step(session, [token])
+        assert session._keys[0] is buffer_before  # no reallocation, no concat
+        assert session.length_of(0) == 12
+        assert session.stats.grows == 0
+
+    def test_slot_capacity_does_not_change_a_solo_step(self, model):
+        """A lone member decodes bitwise the same whatever the pad's spare
+        slot capacity: spare slots are never read."""
+        prefill = _prefill_caches(model, [10])[0]
+        narrow = _solo_session(model, prefill.kv_cache, reserve=3)
+        wide = model.new_decode_session(slot_capacity=8)
+        wide.join(0, prefill.kv_cache, reserve=3)
+        for token in (33, 34, 35):
+            np.testing.assert_array_equal(
+                model.decode_session_step(narrow, [token]),
+                model.decode_session_step(wide, [token]),
+            )
+        for a, b in zip(narrow.extract(0).layers, wide.extract(0).layers):
+            np.testing.assert_array_equal(a.keys, b.keys)
+            np.testing.assert_array_equal(a.values, b.values)
+
     def test_invalid_token_id_leaves_state_untouched(self, model):
         """Token validation runs before any row is claimed, so a caught and
         retried error leaves no phantom all-zero rows behind."""
@@ -163,6 +276,32 @@ class TestGenerateEos:
         for token in generated:
             assert token == int(np.argmax(model.full_prefill(sequence).last_logits))
             sequence = np.concatenate([sequence, [token]])
+
+    def test_generate_session_rejects_misaligned_start_logits(self, model):
+        prefill = _prefill_caches(model, [6])[0]
+        session = _solo_session(model, prefill.kv_cache, reserve=2)
+        with pytest.raises(ValueError):
+            model.generate_session(
+                session, [prefill.last_logits, prefill.last_logits], max_new_tokens=2
+            )
+        assert session.member_ids == (0,)  # nothing joined, left or stepped
+        assert session.stats.steps == 0
+
+    def test_on_step_reports_every_executed_step(self, model):
+        prefills = _prefill_caches(model, [6, 9, 4], seed=5)
+        session = model.new_decode_session()
+        for i, p in enumerate(prefills):
+            session.join(i, p.kv_cache, reserve=7)
+        widths = []
+        generated = model.generate_session(
+            session,
+            [p.last_logits for p in prefills],
+            max_new_tokens=7,
+            on_step=lambda seconds, width: widths.append((seconds, width)),
+        )
+        assert [len(tokens) for tokens in generated] == [7, 7, 7]
+        assert len(widths) == session.stats.steps == 6
+        assert all(seconds >= 0.0 and width == 3 for seconds, width in widths)
 
     def test_finished_requests_drop_out_of_the_batch(self, model):
         prefills = _prefill_caches(model, [6, 8], seed=21)

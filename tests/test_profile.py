@@ -89,6 +89,16 @@ class TestDecodeProfile:
         # while still separating the regimes.
         assert scaling["per_token_growth"] < 2.5
 
+    def test_report_has_no_batched_decoder_columns(self, document):
+        """Schema v8: sessions are the only decoder, so the deleted
+        per-call batched decoder leaves no op, key or column behind."""
+        assert document["schema_version"] == 8
+        assert "decode_batched" not in document["ops"]
+        decode = document["decode"]
+        assert not [key for key in decode if "batched" in key]
+        assert not [key for key in decode["width_scaling"] if "batched" in key]
+        assert "decode_batched" not in format_profile_summary(document)
+
     def test_scaling_helper_rejects_short_runs(self):
         from repro.model.config import get_config
         from repro.model.transformer import TransformerModel
