@@ -115,13 +115,14 @@ class BatchExecutionResult:
 
 @dataclass
 class _RequestPlan:
-    """Per-request load state; the packed blobs materialize lazily.
+    """Per-request load state; the packed blobs are made one layer at a time.
 
     Layout, positions and the simulated per-layer delays are prepared before
-    the batch clock starts, but the raw store-precision blobs — the store's
-    view of the caches — are packed only when the request is about to load
-    (and dropped once its fusion consumed them), so a deep queue never holds
-    every request's bytes at once.
+    the batch clock starts, but a layer's raw store-precision blobs — the
+    store's view of the caches — are packed only right before that layer
+    loads, so neither a deep queue nor one request ever holds more than a
+    layer's bytes at once, and the next request's first load starts after
+    one layer's packing, not all of them.
     """
 
     layout: FusionLayout
@@ -134,22 +135,14 @@ class _RequestPlan:
     #: Mean per-layer delay, reported as ``simulated_load_delay``.
     delay: float
     recompute_ratio: float | None
-    blobs: list[list[bytes]] | None = None
 
-    def materialize(self, n_layers: int) -> None:
-        """Pack the raw store-precision bytes per (layer, chunk) — what
+    def layer_blobs(self, layer_idx: int) -> list[bytes]:
+        """Pack one layer's raw store-precision bytes per chunk — what
         serialize_kv would have persisted."""
-        if self.blobs is None:
-            self.blobs = [
-                [
-                    pack_layer_kv_as(cache.layers[i], self.layer_dtypes[i])
-                    for cache in self.chunk_caches
-                ]
-                for i in range(n_layers)
-            ]
-
-    def release_blobs(self) -> None:
-        self.blobs = None
+        dtype = self.layer_dtypes[layer_idx]
+        return [
+            pack_layer_kv_as(cache.layers[layer_idx], dtype) for cache in self.chunk_caches
+        ]
 
 
 class _SpanRecorder:
@@ -304,11 +297,15 @@ class PipelinedExecutor:
 
         def load_layer(req_idx: int, layer_idx: int) -> None:
             plan = plans[req_idx]
+            blobs = plan.layer_blobs(layer_idx)
             load_start[req_idx][layer_idx] = time.perf_counter() - origin
-            if plan.layer_delays[layer_idx] > 0.0:
-                time.sleep(plan.layer_delays[layer_idx])  # simulated device transfer
+            # The simulated device transfer.  Even a zero delay sleeps: that
+            # drops the GIL, so a compute thread woken by the previous
+            # layer's event runs now instead of waiting out the interpreter's
+            # switch interval (5 ms) behind this thread.
+            time.sleep(plan.layer_delays[layer_idx])
             slots[req_idx][layer_idx] = self._decode_layer(
-                plan.blobs[layer_idx],
+                blobs,
                 plan.layer_dtypes[layer_idx],
                 plan.chunk_positions,
                 plan.layout,
@@ -318,7 +315,7 @@ class PipelinedExecutor:
 
         # Backpressure: the loader may run at most one request ahead of the
         # compute stream (the §6 double buffer at request granularity), so
-        # peak memory holds ~two requests' packed+decoded buffers, not the
+        # peak memory holds ~two requests' decoded buffers, not the
         # queue's.  ``abort`` stops it promptly if compute fails mid-batch.
         lookahead = threading.Semaphore(2)
         abort = threading.Event()
@@ -331,7 +328,6 @@ class PipelinedExecutor:
                         lookahead.acquire()
                         if abort.is_set():
                             return
-                        plans[req_idx].materialize(n_layers)
                         for layer_idx in range(n_layers):
                             load_layer(req_idx, layer_idx)
                 except BaseException as exc:  # surface in the compute thread
@@ -347,9 +343,6 @@ class PipelinedExecutor:
         queue_start = 0.0
         try:
             for req_idx, plan in enumerate(plans):
-                if not pipelined:
-                    plan.materialize(n_layers)
-
                 def provider(layer_idx: int, req_idx: int = req_idx) -> LayerKV:
                     if pipelined:
                         ready[req_idx][layer_idx].wait()
@@ -370,7 +363,6 @@ class PipelinedExecutor:
                     recompute_ratio=plan.recompute_ratio,
                     recorder=recorder,
                 )
-                plan.release_blobs()  # this request's bytes are consumed
                 lookahead.release()
                 results.append(
                     ExecutionResult(
@@ -416,8 +408,8 @@ class PipelinedExecutor:
 
         Validation (layout, KV shapes, ratio) happens here, before any
         loader thread starts, so a bad request fails fast instead of from a
-        background thread.  The blob bytes themselves materialize lazily
-        when the request is about to load (see :class:`_RequestPlan`).
+        background thread.  The blob bytes themselves are packed lazily,
+        layer by layer, as the request loads (see :class:`_RequestPlan`).
         """
         if recompute_ratio is not None and not 0.0 <= recompute_ratio <= 1.0:
             raise ValueError("recompute_ratio must be in [0, 1]")

@@ -56,26 +56,37 @@ def _attend(
 ) -> AttentionOutput:
     """Shared core: causal softmax attention with optional window extraction.
 
-    GQA is handled by viewing the query heads as ``(n_kv_heads, group)`` and
-    broadcasting the keys/values across the group axis, so the KV tensors are
-    never materialised ``group`` times.  Scores and the causal mask are only
-    allocated for the actual query rows — ``(n_queries, n_keys)`` — never the
-    full ``n_keys × n_keys``.
+    GQA is handled by stacking each KV head's ``group`` query heads into one
+    ``(group * n_queries, head_dim)`` matrix, so scores and context are two
+    batched matmuls over the KV heads (BLAS GEMMs against strided views of
+    the keys/values; the KV tensors are never materialised ``group`` times).
+    Scores and the causal mask are only allocated for the actual query
+    rows — ``(n_queries, n_keys)`` — never the full ``n_keys × n_keys``.
     """
     n_queries, n_heads, head_dim = queries.shape
-    n_kv_heads = keys.shape[1]
+    n_keys, n_kv_heads = keys.shape[:2]
     group = n_heads // n_kv_heads
 
-    q_grouped = queries.reshape(n_queries, n_kv_heads, group, head_dim)
-    # scores[h, g, q, k] with h the KV head and g the query head within its group
-    scores = np.einsum("qhgd,khd->hgqk", q_grouped, keys)
+    # q_stacked[h, g * n_queries + q] is query q's head g within KV head h.
+    q_stacked = (
+        queries.reshape(n_queries, n_kv_heads, group, head_dim)
+        .transpose(1, 2, 0, 3)
+        .reshape(n_kv_heads, group * n_queries, head_dim)
+    )
+    scores = q_stacked @ keys.transpose(1, 2, 0)  # (h, g * q, k)
     scores *= scores.dtype.type(1.0 / np.sqrt(head_dim))
+    scores = scores.reshape(n_kv_heads, group, n_queries, n_keys)
     mask = key_positions[None, :] > query_positions[:, None]  # (n_queries, n_keys)
-    np.copyto(scores, scores.dtype.type(-1e30), where=mask[None, None, :, :])
+    np.copyto(scores, scores.dtype.type(-1e30), where=mask)
     weights = softmax(scores, axis=-1)
 
-    context = np.einsum("hgqk,khd->qhgd", weights, values)
-    context = context.reshape(n_queries, n_heads, head_dim)
+    weights_stacked = weights.reshape(n_kv_heads, group * n_queries, n_keys)
+    context = (
+        (weights_stacked @ values.transpose(1, 0, 2))  # (h, g * q, d)
+        .reshape(n_kv_heads, group, n_queries, head_dim)
+        .transpose(2, 0, 1, 3)
+        .reshape(n_queries, n_heads, head_dim)
+    )
 
     forward_attention = None
     if window_rows is not None and window_rows.size:
@@ -180,16 +191,15 @@ def batched_decode_attention(
     Returns the per-request context, shape ``(n_requests, n_heads, head_dim)``.
     """
     n_requests, n_heads, head_dim = queries.shape
-    n_kv_heads = keys.shape[2]
+    n_tokens, n_kv_heads = keys.shape[1:3]
     group = n_heads // n_kv_heads
 
     q_grouped = queries.reshape(n_requests, n_kv_heads, group, head_dim)
-    scores = np.einsum("nhgd,nthd->nhgt", q_grouped, keys)
+    scores = q_grouped @ keys.transpose(0, 2, 3, 1)  # (n, h, g, t)
     scores *= scores.dtype.type(1.0 / np.sqrt(head_dim))
-    token_index = np.arange(keys.shape[1])
-    padding = token_index[None, :] >= np.asarray(lengths)[:, None]
+    padding = np.arange(n_tokens)[None, :] >= np.asarray(lengths)[:, None]
     if padding.any():
         np.copyto(scores, scores.dtype.type(-1e30), where=padding[:, None, None, :])
     weights = softmax(scores, axis=-1)
-    context = np.einsum("nhgt,nthd->nhgd", weights, values)
+    context = weights @ values.transpose(0, 2, 1, 3)  # (n, h, g, d)
     return context.reshape(n_requests, n_heads, head_dim)

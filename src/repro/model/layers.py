@@ -31,10 +31,15 @@ def swiglu(x: np.ndarray, w_gate: np.ndarray, w_up: np.ndarray, w_down: np.ndarr
 
 
 def softmax(scores: np.ndarray, axis: int = -1) -> np.ndarray:
-    """Numerically stable softmax."""
-    shifted = scores - np.max(scores, axis=axis, keepdims=True)
-    exp = np.exp(shifted)
-    return exp / np.sum(exp, axis=axis, keepdims=True)
+    """Numerically stable softmax into one new buffer (*scores* is not written).
+
+    The shift, exp and normalisation all happen in the output array, so a
+    call allocates one score-sized array instead of three.
+    """
+    out = scores - np.max(scores, axis=axis, keepdims=True)
+    np.exp(out, out=out)
+    out /= np.sum(out, axis=axis, keepdims=True)
+    return out
 
 
 @dataclass

@@ -232,6 +232,9 @@ class DecodeSession:
         self._next_positions = np.zeros(slot_capacity, dtype=np.int64)
         self._members: list[object] = []
         self._slots: dict[object, int] = {}
+        # (slot, row) index of the current step's appended rows, built once
+        # by claim_rows and reused by every layer's write_layer.
+        self._step_rows: tuple[np.ndarray, np.ndarray] | None = None
         self.stats = DecodeSessionStats()
 
     # ------------------------------------------------------------------
@@ -323,6 +326,7 @@ class DecodeSession:
         self._lengths[slot] = n
         self._members.append(member_id)
         self._slots[member_id] = slot
+        self._step_rows = None  # membership changed: the next step re-claims
         self.stats.joins += 1
         self.stats.refill_rows += n
         self.stats.peak_members = max(self.stats.peak_members, self.n_members)
@@ -355,6 +359,7 @@ class DecodeSession:
         self._next_positions[last] = 0
         self._members.pop()
         del self._slots[member_id]
+        self._step_rows = None
         self.stats.leaves += 1
         if (
             self._slot_capacity > self._min_slot_capacity
@@ -398,7 +403,7 @@ class DecodeSession:
         embedding positions of the appended tokens.
 
         The K/V of the appended rows is written layer by layer afterwards
-        via :meth:`write_layer`.
+        via :meth:`write_layer`, which reuses this step's row index.
         """
         n = self.n_members
         if n == 0:
@@ -415,17 +420,17 @@ class DecodeSession:
         self._positions[members, rows] = positions
         self._lengths[:n] += 1
         self._next_positions[:n] = positions + 1
+        self._step_rows = (members, rows)
         self.stats.steps += 1
         self.stats.append_rows += n
         return positions
 
     def write_layer(self, layer_idx: int, keys: np.ndarray, values: np.ndarray) -> None:
         """Write the current step's appended row of every member, in place."""
-        n = self.n_members
-        members = np.arange(n)
-        rows = self._lengths[:n] - 1
-        self._keys[layer_idx][members, rows] = keys
-        self._values[layer_idx][members, rows] = values
+        if self._step_rows is None:
+            raise ValueError("no claimed rows: call claim_rows before write_layer")
+        self._keys[layer_idx][self._step_rows] = keys
+        self._values[layer_idx][self._step_rows] = values
 
     def layer_kv(self, layer_idx: int) -> tuple[np.ndarray, np.ndarray]:
         """Zero-copy padded ``(n_members, max_len, kv_heads, head_dim)``

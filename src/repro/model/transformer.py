@@ -27,7 +27,7 @@ from repro.model.attention import (
 )
 from repro.model.config import ModelConfig
 from repro.model.layers import ModelWeights, init_weights, rms_norm, swiglu
-from repro.model.rope import apply_rope
+from repro.model.rope import RopeTable, rotate
 from repro.model.tensors import DecodeSession, KVCache, LayerKV
 
 
@@ -98,6 +98,8 @@ class TransformerModel:
         self.config = config
         self.seed = seed
         self.weights: ModelWeights = init_weights(config, seed)
+        # One cos/sin table for every layer, prefill and decode step.
+        self.rope = RopeTable(config.head_dim, config.rope_theta, config.np_dtype)
 
     # ------------------------------------------------------------------
     # Embedding and heads
@@ -122,17 +124,19 @@ class TransformerModel:
     # ------------------------------------------------------------------
     def _project_qkv(
         self, layer_idx: int, hidden: np.ndarray, positions: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Project hidden states into rotary-embedded Q, K and raw V."""
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Project hidden states into rotary-embedded Q, K and raw V.
+
+        Q and K are rotated with the same rows of the model's RoPE table.
+        """
         cfg = self.config
         w = self.weights.layers[layer_idx]
         normed = rms_norm(hidden, w.norm_attn)
         q = (normed @ w.wq).reshape(-1, cfg.n_heads, cfg.head_dim)
         k = (normed @ w.wk).reshape(-1, cfg.n_kv_heads, cfg.head_dim)
         v = (normed @ w.wv).reshape(-1, cfg.n_kv_heads, cfg.head_dim)
-        q = apply_rope(q, positions, cfg.rope_theta)
-        k = apply_rope(k, positions, cfg.rope_theta)
-        return normed, q, k, v
+        cos, sin = self.rope.rows(positions)
+        return rotate(q, cos, sin), rotate(k, cos, sin), v
 
     def _finish_layer(
         self, layer_idx: int, hidden: np.ndarray, context: np.ndarray
@@ -153,7 +157,7 @@ class TransformerModel:
         query_window: int = 0,
     ) -> LayerFullOutput:
         """Run one layer over all tokens (full prefill path)."""
-        _, q, k, v = self._project_qkv(layer_idx, hidden, positions)
+        q, k, v = self._project_qkv(layer_idx, hidden, positions)
         attn = full_attention(q, k, v, positions, query_window=query_window)
         new_hidden = self._finish_layer(layer_idx, hidden, attn.context)
         return LayerFullOutput(
@@ -190,7 +194,7 @@ class TransformerModel:
                 f"{len(positions)}"
             )
         sel_positions = positions[selected_indices]
-        _, q_sel, k_sel, v_sel = self._project_qkv(
+        q_sel, k_sel, v_sel = self._project_qkv(
             layer_idx, hidden_selected, sel_positions
         )
         if in_place:
@@ -317,7 +321,7 @@ class TransformerModel:
         positions = session.claim_rows(token_arr)
         lengths = session.lengths
         for layer_idx in range(self.config.n_layers):
-            _, q, k, v = self._project_qkv(layer_idx, hidden, positions)
+            q, k, v = self._project_qkv(layer_idx, hidden, positions)
             session.write_layer(layer_idx, k, v)
             keys_all, values_all = session.layer_kv(layer_idx)
             context = batched_decode_attention(q, keys_all, values_all, lengths)

@@ -93,6 +93,32 @@ class TestSessionPad:
         np.testing.assert_array_equal(cache.token_ids, [1, 2, 3, 9])
         np.testing.assert_array_equal(cache.positions, [0, 1, 2, 3])
 
+    def test_write_layer_needs_a_claim_since_the_last_membership_change(self):
+        """A step's (slot, row) index is for the membership that claimed it:
+        after a join or a leave, writing without a new claim is refused
+        (a stale index would silently write the wrong slots)."""
+        kv = np.zeros((1, 1, 1, 2), dtype=np.float32)
+
+        def seed(n):
+            return KVCache([LayerKV(np.zeros((n, 1, 2)), np.zeros((n, 1, 2)))])
+
+        session = DecodeSession(n_layers=1, n_kv_heads=1, head_dim=2, token_capacity=8)
+        with pytest.raises(ValueError):
+            session.write_layer(0, kv[0], kv[0])  # nothing claimed yet
+        session.join(0, seed(2))
+        _append(session, [5], kv, kv)
+        session.join(1, seed(3))
+        with pytest.raises(ValueError):
+            session.write_layer(0, kv[0], kv[0])
+
+        session = DecodeSession(n_layers=1, n_kv_heads=1, head_dim=2, token_capacity=8)
+        session.join(0, seed(2))
+        session.join(1, seed(3))
+        _append(session, [5, 6], np.zeros((1, 2, 1, 2)), np.zeros((1, 2, 1, 2)))
+        session.leave(1)
+        with pytest.raises(ValueError):
+            session.write_layer(0, kv[0], kv[0])
+
     def test_layer_kv_aliases_the_pad(self, model):
         session = _solo_session(model, _prefill_caches(model, [6])[0].kv_cache)
         keys, values = session.layer_kv(0)
